@@ -7,8 +7,10 @@ all: build vet dfsvet test
 build:
 	$(GO) build ./...
 
+# test gives each package five minutes, so a hang fails with a goroutine
+# dump instead of waiting out go test's ten-minute default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 vet:
 	$(GO) vet ./...
@@ -45,7 +47,7 @@ race:
 # bench is a smoke run: every benchmark once, so CI catches benchmarks
 # that no longer build or crash, without paying for measurement.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/buffer ./internal/episode ./internal/client .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/buffer ./internal/episode ./internal/client ./internal/rpc .
 
 # bench-snapshot records the PR's parallel benchmarks into BENCH_PR2.json.
 bench-snapshot:

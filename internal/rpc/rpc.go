@@ -15,6 +15,14 @@
 //   - instrumentation: message and byte counters per peer, plus an
 //     optional per-message simulated latency, which is what the
 //     consistency-traffic experiments (C3–C5) measure.
+//
+// Frames travel on one persistent gob stream per direction. The body a
+// frame carries (call args, a reply, what handlers Marshal and
+// Unmarshal) is a standalone gob stream of its own: the type definitions
+// of its value, then the value, so an authenticator signs and any gob
+// reader decodes it alone. The body codec (codec.go) keeps encoders warm
+// per Go type and decoders warm per sender type table, emitting the
+// bytes a fresh gob.Encoder would.
 package rpc
 
 import (
@@ -451,7 +459,7 @@ func (p *Peer) CallTraced(method string, args, reply any, prio Priority, tc obs.
 	body.Reset()
 	defer bufPool.Put(body)
 	if args != nil {
-		if err := gob.NewEncoder(body).Encode(args); err != nil {
+		if err := encodeBody(body, args); err != nil {
 			return err
 		}
 	}
@@ -510,7 +518,7 @@ func (p *Peer) CallTraced(method string, args, reply any, prio Priority, tc obs.
 		return RemoteError{Method: method, Msg: resp.ErrMsg}
 	}
 	if reply != nil {
-		return gob.NewDecoder(bytes.NewReader(resp.Body)).Decode(reply)
+		return decodeBody(resp.Body, reply)
 	}
 	return nil
 }
@@ -708,7 +716,7 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func Marshal(v any) ([]byte, error) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	if err := encodeBody(buf, v); err != nil {
 		bufPool.Put(buf)
 		return nil, err
 	}
@@ -719,7 +727,7 @@ func Marshal(v any) ([]byte, error) {
 
 // Unmarshal gob-decodes handler arguments.
 func Unmarshal(body []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return decodeBody(body, v)
 }
 
 // Pipe returns two connected in-process peers (for tests and in-process

@@ -17,7 +17,9 @@
 //     [1-byte codec][4-byte big-endian payload length][payload]. Codec
 //     codecGob wraps one gob-encoded frame (the persistent encoder keeps
 //     its type-definition amortization because the decoder sees the same
-//     byte stream, just interleaved with headers it strips first). Codec
+//     byte stream, just interleaved with headers it strips first). The
+//     frame's Body is still a standalone gob stream, type definitions
+//     included, built and read by the warm body codec (codec.go). Codec
 //     codecBin is the binary data frame below.
 //
 // A binary frame's payload is a fixed 64-byte hand-rolled header followed
